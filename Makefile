@@ -72,6 +72,7 @@ fuzz-smoke:
 	$(GO) test ./internal/xsd -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ocl -run='^$$' -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/gen -run='^$$' -fuzz=FuzzProfileJSON -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/durable -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/repo -run='^$$' -fuzz=FuzzWALDecode -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/shard -run='^$$' -fuzz=FuzzShardMapJSON -fuzztime=$(FUZZTIME)
 
@@ -142,7 +143,7 @@ heal-smoke:
 verify:
 	$(GO) vet ./...
 	$(GO) test -race ./...
-	$(GO) test -race -count=1 ./internal/server ./internal/schemacache ./internal/registry ./internal/repo ./internal/repl ./internal/shard ./internal/health ./internal/retry ./internal/client ./internal/faultio ./cmd/ccrepo ./internal/gen ./internal/jsonschema ./internal/protogen ./internal/backends ./internal/jobs ./cmd/ccjobs
+	$(GO) test -race -count=1 ./internal/server ./internal/schemacache ./internal/registry ./internal/repo ./internal/repl ./internal/shard ./internal/health ./internal/retry ./internal/client ./internal/faultio ./cmd/ccrepo ./internal/gen ./internal/jsonschema ./internal/protogen ./internal/backends ./internal/jobs ./internal/durable ./cmd/ccjobs
 	$(MAKE) chaos-smoke
 	$(MAKE) repl-smoke
 	$(MAKE) jobs-smoke

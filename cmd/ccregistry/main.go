@@ -12,6 +12,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -20,6 +21,7 @@ import (
 	"os"
 
 	ccts "github.com/go-ccts/ccts"
+	"github.com/go-ccts/ccts/internal/durable"
 )
 
 func main() {
@@ -118,11 +120,12 @@ func load(reg *ccts.Registry, path string) error {
 	return reg.LoadJSON(f)
 }
 
+// save replaces the store atomically: a failed or interrupted save
+// leaves the previous registry intact.
 func save(reg *ccts.Registry, path string) error {
-	f, err := os.Create(path)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := reg.SaveJSON(&buf); err != nil {
 		return err
 	}
-	defer f.Close()
-	return reg.SaveJSON(f)
+	return durable.WriteFile(path, buf.Bytes(), nil)
 }

@@ -79,6 +79,44 @@ func TestRegistryWorkflow(t *testing.T) {
 	}
 }
 
+// TestRegistrySaveRoundTrip saves twice over the same store (create,
+// then replace) and reloads it: every entry survives and the atomic
+// write leaves no temp file beside the store.
+func TestRegistrySaveRoundTrip(t *testing.T) {
+	dir := t.TempDir()
+	model := sampleXMI(t, dir)
+	store := filepath.Join(dir, "reg.json")
+	var buf bytes.Buffer
+	for i := 0; i < 2; i++ {
+		if err := run([]string{"-store", store, "register", model}, &buf); err != nil {
+			t.Fatalf("register %d: %v", i, err)
+		}
+	}
+
+	f, err := os.Open(store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	reg := ccts.NewRegistry()
+	if err := reg.LoadJSON(f); err != nil {
+		t.Fatalf("reloading saved store: %v", err)
+	}
+	if reg.Len() != 44 {
+		t.Errorf("reloaded %d entries, want 44", reg.Len())
+	}
+
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if strings.Contains(e.Name(), ".tmp") {
+			t.Errorf("save left temp file %s", e.Name())
+		}
+	}
+}
+
 func TestRegistryCLIErrors(t *testing.T) {
 	dir := t.TempDir()
 	var buf bytes.Buffer

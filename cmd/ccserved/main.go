@@ -250,6 +250,7 @@ func run(args []string) error {
 	// health tracker watches the repository's volume: write faults flip
 	// publishes to 503 while reads keep serving, and the background probe
 	// restores write mode once the disk recovers.
+	var follower *repl.Follower
 	if cfg.repoDir != "" {
 		tracker := health.NewTracker(health.Options{})
 		rp, err := repo.Open(cfg.repoDir, repo.Config{DefaultPolicy: cfg.repoPolicy, Health: tracker})
@@ -268,15 +269,13 @@ func run(args []string) error {
 		// follower is immediately a full primary for the others.
 		cfg.server.ReplSource = repl.NewSource(rp, repl.SourceOptions{})
 		if cfg.replicaOf != "" {
-			follower := repl.NewFollower(rp, cfg.replicaOf, repl.FollowerOptions{
+			follower = repl.NewFollower(rp, cfg.replicaOf, repl.FollowerOptions{
 				AutoPromote:   cfg.autoPromote,
 				PromoteMisses: cfg.promoteMisses,
 				Logf: func(format string, args ...any) {
 					fmt.Fprintf(os.Stderr, "ccserved: "+format+"\n", args...)
 				},
 			})
-			follower.Start()
-			defer follower.Stop()
 			cfg.server.Follower = follower
 		}
 	}
@@ -327,6 +326,11 @@ func run(args []string) error {
 	}
 
 	srv := server.New(cfg.server)
+	// The follower starts only once server.New has instrumented it.
+	if follower != nil {
+		follower.Start()
+		defer follower.Stop()
+	}
 	if sup := srv.ShardSupervisor(); sup != nil {
 		sup.Start()
 		defer sup.Stop()

@@ -46,9 +46,9 @@ func Key(xmi []byte, fingerprint string) string {
 }
 
 // BlobSum is the content address of a raw blob: plain SHA-256 of its
-// bytes, hex-encoded. The repository's blob store files schemas,
-// diagnostics and canonicalized inputs under this address so unchanged
-// artifacts are shared across versions.
+// bytes, hex-encoded. The blob store (internal/durable) files every
+// blob of the repository and the job queue under this address, so
+// unchanged artifacts are shared across versions and jobs.
 func BlobSum(data []byte) string {
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])

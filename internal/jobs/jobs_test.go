@@ -6,6 +6,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -15,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/go-ccts/ccts/internal/durable"
+	"github.com/go-ccts/ccts/internal/faultio"
 	"github.com/go-ccts/ccts/internal/metrics"
 )
 
@@ -613,13 +616,13 @@ func TestNoGoroutineLeaks(t *testing.T) {
 }
 
 func TestScanWALRejectsGapAndCorruption(t *testing.T) {
-	r1, _ := encodeRecord(&record{Seq: 1, Op: opSubmit, Job: "j000001", JobSeq: 1, Spec: &Spec{Items: []ItemSpec{{Name: "a"}}}})
-	r2, _ := encodeRecord(&record{Seq: 2, Op: opCancel, Job: "j000001"})
-	r4, _ := encodeRecord(&record{Seq: 4, Op: opCancel, Job: "j000001"})
+	r1, _ := durable.EncodeFrame(&record{Seq: 1, Op: opSubmit, Job: "j000001", JobSeq: 1, Spec: &Spec{Items: []ItemSpec{{Name: "a"}}}})
+	r2, _ := durable.EncodeFrame(&record{Seq: 2, Op: opCancel, Job: "j000001"})
+	r4, _ := durable.EncodeFrame(&record{Seq: 4, Op: opCancel, Job: "j000001"})
 
 	// Contiguous prefix decodes; the seq gap stops the scan.
 	data := append(append(append([]byte{}, r1...), r2...), r4...)
-	recs, goodLen := scanWAL(data)
+	recs, goodLen := durable.Scan(data, decodeLine)
 	if len(recs) != 2 || goodLen != len(r1)+len(r2) {
 		t.Fatalf("gap scan: %d recs, goodLen %d", len(recs), goodLen)
 	}
@@ -627,8 +630,104 @@ func TestScanWALRejectsGapAndCorruption(t *testing.T) {
 	// A flipped byte in the payload invalidates that record onward.
 	corrupt := append(append([]byte{}, r1...), r2...)
 	corrupt[len(r1)+12] ^= 0xff
-	recs, goodLen = scanWAL(corrupt)
+	recs, goodLen = durable.Scan(corrupt, decodeLine)
 	if len(recs) != 1 || goodLen != len(r1) {
 		t.Fatalf("corrupt scan: %d recs, goodLen %d", len(recs), goodLen)
+	}
+}
+
+// failSync passes writes through and fails the fsync after them: the
+// log's wrap seam calls a wrapped writer's Sync in place of the file's.
+type failSync struct{ io.Writer }
+
+func (failSync) Sync() error { return faultio.ErrInjected }
+
+// TestWALAppendFaultRollsBack injects a short write and then a failed
+// fsync into two submissions. Both fail, and neither may leave bytes
+// in the log: a later acknowledged job and every record after it (its
+// item completions and terminal record) must survive a crash.
+func TestWALAppendFaultRollsBack(t *testing.T) {
+	dir := t.TempDir()
+	m, err := Open(dir, Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	m.SetExecutor(echoExec(t))
+	first, err := m.Submit("", 0, submitItems("a"))
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+
+	// No worker runs yet, so the test owns the log's seam.
+	for _, fault := range []func(io.Writer) io.Writer{
+		func(w io.Writer) io.Writer { return &faultio.Writer{W: w, Limit: 40} },
+		func(w io.Writer) io.Writer { return failSync{w} },
+	} {
+		m.store.wal.Wrap = fault
+		if _, err := m.Submit("", 0, submitItems("lost")); !errors.Is(err, faultio.ErrInjected) {
+			t.Fatalf("Submit through a failing WAL: %v, want the injected fault", err)
+		}
+	}
+	m.store.wal.Wrap = nil
+
+	acked, err := m.Submit("", 0, submitItems("b", "c"))
+	if err != nil {
+		t.Fatalf("Submit after faults: %v", err)
+	}
+	m.Start()
+	waitState(t, m, first.ID, Completed)
+	waitState(t, m, acked.ID, Completed)
+	m.Kill()
+
+	m2, err := Open(dir, Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("reopen: %v", err)
+	}
+	defer m2.Close(context.Background())
+	for _, id := range []string{first.ID, acked.ID} {
+		s, err := m2.Get(id)
+		if err != nil {
+			t.Fatalf("acknowledged job lost: %v", err)
+		}
+		if s.State != Completed {
+			t.Fatalf("job %s recovered as %s, want completed", id, s.State)
+		}
+	}
+	results, _, err := m2.Result(acked.ID)
+	if err != nil || len(results) != 2 {
+		t.Fatalf("Result after reopen: %v (%d)", err, len(results))
+	}
+}
+
+// TestWALFrameBytesPinned pins the frame encoding of a jobs record: a
+// job directory written by an earlier version must still open.
+func TestWALFrameBytesPinned(t *testing.T) {
+	const sha = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	const line = `55ad4eb1 {"seq":1,"op":"submit","job":"j000001","spec":{"name":"batch","items":[{"name":"a","modelSHA":"` + sha + `","library":"EB005","target":"xsd"}]},"jobSeq":1,"at":1700000000000000000}` + "\n"
+	rec := &record{Seq: 1, Op: opSubmit, Job: "j000001", JobSeq: 1, At: 1700000000000000000,
+		Spec: &Spec{Name: "batch", Items: []ItemSpec{{Name: "a", ModelSHA: sha, Library: "EB005", Target: "xsd"}}}}
+	got, err := durable.EncodeFrame(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != line {
+		t.Fatalf("frame bytes changed:\n got %q\nwant %q", got, line)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walName), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	m, err := Open(dir, Config{Workers: 1})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer m.Close(context.Background())
+	s, err := m.Get("j000001")
+	if err != nil {
+		t.Fatalf("pinned job not recovered: %v", err)
+	}
+	if s.Spec.Name != "batch" || len(s.Items) != 1 || s.Items[0].Spec.ModelSHA != sha {
+		t.Fatalf("pinned job recovered wrong: %+v", s)
 	}
 }

@@ -854,17 +854,19 @@ func (m *Manager) sweep(now time.Time) {
 			}
 		}
 	}
+	// A blob that fails to go stays behind as an orphan; the expiry
+	// itself is already durable.
 	for _, j := range victims {
 		if _, ok := m.jobs[j.id]; ok {
 			continue // expire record failed; job still live
 		}
 		for k := range j.items {
 			if _, ok := live[j.items[k].Spec.ModelSHA]; !ok {
-				m.store.removeBlob(j.items[k].Spec.ModelSHA)
+				m.store.blobs.Remove(j.items[k].Spec.ModelSHA)
 			}
 			if sha := j.items[k].ResultSHA; sha != "" {
 				if _, ok := live[sha]; !ok {
-					m.store.removeBlob(sha)
+					m.store.blobs.Remove(sha)
 				}
 			}
 		}

@@ -117,7 +117,8 @@ func NewFollower(r *repo.Repo, primaryURL string, opts FollowerOptions) *Followe
 	return f
 }
 
-// Instrument registers the replication gauges and counters.
+// Instrument registers the replication gauges and counters. Call it
+// before Start: the running stream reads the instruments unlocked.
 func (f *Follower) Instrument(reg *metrics.Registry) {
 	f.mApplied = reg.Gauge("repl_applied_seq", "Last WAL sequence number applied from the primary.")
 	f.mPrimarySeq = reg.Gauge("repl_primary_seq", "Primary's committed WAL sequence number as last observed.")

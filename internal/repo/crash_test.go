@@ -1,7 +1,8 @@
 package repo
 
 // Crash-recovery harness: every durability seam (WAL append, manifest
-// checkpoint, blob write) is killed mid-stream via the faultio hooks,
+// checkpoint, blob write) is killed mid-stream through the
+// Config.Fault* seams,
 // and torn WAL tails are produced byte-by-byte, to prove the guarantee
 // the package documents — a publish that returned success survives any
 // crash, a publish that failed leaves no trace, and recovery never
@@ -16,6 +17,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/go-ccts/ccts/internal/durable"
 	"github.com/go-ccts/ccts/internal/faultio"
 	"github.com/go-ccts/ccts/internal/fixture"
 )
@@ -66,6 +68,17 @@ func copyTree(t *testing.T, src string) string {
 	return dst
 }
 
+// faultSeam is a switchable hook for a Config.Fault* field: while wrap
+// is nil writes pass through, otherwise wrap interposes on them.
+type faultSeam struct{ wrap func(io.Writer) io.Writer }
+
+func (f *faultSeam) hook(w io.Writer) io.Writer {
+	if f.wrap == nil {
+		return w
+	}
+	return f.wrap(w)
+}
+
 // abandon simulates a crash: the WAL handle is closed without a
 // checkpoint and the Repo is never used again.
 func abandon(r *Repo) {
@@ -77,16 +90,17 @@ func abandon(r *Repo) {
 
 func TestWALAppendFaultRollsBack(t *testing.T) {
 	dir := t.TempDir()
-	r := openRepo(t, dir, Config{DefaultPolicy: PolicyNone})
+	var walFault faultSeam
+	r := openRepo(t, dir, Config{DefaultPolicy: PolicyNone, FaultWAL: walFault.hook})
 	req := buildRequest(t, fixture.MustBuildHoardingPermit())
 	mustPublish(t, r, req)
 
 	// Kill the append at several offsets, including a short write that
 	// lands part of the record before failing.
 	for _, limit := range []int64{0, 1, 40} {
-		wrapWALWriter = func(w io.Writer) io.Writer { return &faultio.Writer{W: w, Limit: limit} }
+		walFault.wrap = func(w io.Writer) io.Writer { return &faultio.Writer{W: w, Limit: limit} }
 		_, err := r.Publish(req)
-		wrapWALWriter = nil
+		walFault.wrap = nil
 		if err == nil {
 			t.Fatalf("limit %d: publish succeeded through a failing WAL", limit)
 		}
@@ -261,12 +275,12 @@ func TestWALSeqGapDiscardsLog(t *testing.T) {
 	// sequence means records were lost; recovery must serve the
 	// checkpoint alone rather than a state with holes.
 	dir := t.TempDir()
-	if err := os.MkdirAll(filepath.Join(dir, blobDirName), 0o755); err != nil {
+	if err := os.MkdirAll(filepath.Join(dir, durable.BlobDir), 0o755); err != nil {
 		t.Fatal(err)
 	}
 	rec := &walRecord{Seq: 5, Op: opPublish, Subject: "s", Policy: PolicyNone,
 		Version: &Version{Number: 1, InputSHA256: strings.Repeat("0", 64), Files: []FileRef{{Name: "a.xsd", SHA256: strings.Repeat("0", 64)}}}}
-	line, err := encodeRecord(rec)
+	line, err := durable.EncodeFrame(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,14 +299,15 @@ func TestWALSeqGapDiscardsLog(t *testing.T) {
 
 func TestManifestCheckpointFault(t *testing.T) {
 	dir := t.TempDir()
-	r := openRepo(t, dir, Config{DefaultPolicy: PolicyNone, CheckpointEvery: 1 << 20})
+	var manifestFault faultSeam
+	r := openRepo(t, dir, Config{DefaultPolicy: PolicyNone, CheckpointEvery: 1 << 20, FaultManifest: manifestFault.hook})
 	req := buildRequest(t, fixture.MustBuildHoardingPermit())
 	mustPublish(t, r, req)
 	mustPublish(t, r, req)
 
-	wrapManifestWriter = func(w io.Writer) io.Writer { return &faultio.Writer{W: w, Limit: 16} }
+	manifestFault.wrap = func(w io.Writer) io.Writer { return &faultio.Writer{W: w, Limit: 16} }
 	err := r.Checkpoint()
-	wrapManifestWriter = nil
+	manifestFault.wrap = nil
 	if err == nil {
 		t.Fatal("checkpoint succeeded through a failing manifest writer")
 	}
@@ -317,12 +332,13 @@ func TestManifestCheckpointFault(t *testing.T) {
 
 func TestBlobWriteFault(t *testing.T) {
 	dir := t.TempDir()
-	r := openRepo(t, dir, Config{DefaultPolicy: PolicyNone})
+	var blobFault faultSeam
+	r := openRepo(t, dir, Config{DefaultPolicy: PolicyNone, FaultBlob: blobFault.hook})
 	req := buildRequest(t, fixture.MustBuildHoardingPermit())
 
-	wrapBlobWriter = func(w io.Writer) io.Writer { return &faultio.Writer{W: w, Limit: 128} }
+	blobFault.wrap = func(w io.Writer) io.Writer { return &faultio.Writer{W: w, Limit: 128} }
 	_, err := r.Publish(req)
-	wrapBlobWriter = nil
+	blobFault.wrap = nil
 	if err == nil {
 		t.Fatal("publish succeeded through a failing blob writer")
 	}
@@ -345,7 +361,7 @@ func TestBlobWriteFault(t *testing.T) {
 
 func TestOpenRemovesTempResidue(t *testing.T) {
 	dir := t.TempDir()
-	fan := filepath.Join(dir, blobDirName, "ab")
+	fan := filepath.Join(dir, durable.BlobDir, "ab")
 	if err := os.MkdirAll(fan, 0o755); err != nil {
 		t.Fatal(err)
 	}
@@ -360,4 +376,36 @@ func TestOpenRemovesTempResidue(t *testing.T) {
 	}
 	openRepo(t, dir, Config{})
 	assertNoTempFiles(t, dir)
+}
+
+// TestWALFrameBytesPinned pins the frame encoding of a repository
+// record: a repository written by an earlier version must still open.
+func TestWALFrameBytesPinned(t *testing.T) {
+	const sha = "0123456789abcdef0123456789abcdef0123456789abcdef0123456789abcdef"
+	const line = `94bacbdd {"seq":1,"op":"publish","subject":"urn:test","policy":"none","version":{"number":1,"inputSha256":"` + sha + `","inputSize":12,"fingerprint":"fp","files":[{"name":"a.xsd","sha256":"` + sha + `","size":12}]}}` + "\n"
+	rec := &walRecord{Seq: 1, Op: opPublish, Subject: "urn:test", Policy: PolicyNone,
+		Version: &Version{Number: 1, InputSHA256: sha, InputSize: 12, Fingerprint: "fp", Files: []FileRef{{Name: "a.xsd", SHA256: sha, Size: 12}}}}
+	got, err := durable.EncodeFrame(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != line {
+		t.Fatalf("frame bytes changed:\n got %q\nwant %q", got, line)
+	}
+
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walName), []byte(line), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := openRepo(t, dir, Config{})
+	v, err := r.Version("urn:test", 1)
+	if err != nil {
+		t.Fatalf("pinned version not recovered: %v", err)
+	}
+	if v.Fingerprint != "fp" || len(v.Files) != 1 || v.Files[0].SHA256 != sha {
+		t.Fatalf("pinned version recovered wrong: %+v", v)
+	}
+	if r.WALSeq() != 1 {
+		t.Fatalf("WALSeq = %d, want 1", r.WALSeq())
+	}
 }

@@ -3,6 +3,8 @@ package repo
 import (
 	"bytes"
 	"testing"
+
+	"github.com/go-ccts/ccts/internal/durable"
 )
 
 // FuzzWALDecode feeds arbitrary bytes through the WAL scanner and the
@@ -13,9 +15,9 @@ import (
 // contiguous, and rescanning the valid prefix is a fixed point.
 func FuzzWALDecode(f *testing.F) {
 	// A healthy two-record log.
-	rec1, _ := encodeRecord(&walRecord{Seq: 1, Op: opPublish, Subject: "s", Policy: PolicyNone,
+	rec1, _ := durable.EncodeFrame(&walRecord{Seq: 1, Op: opPublish, Subject: "s", Policy: PolicyNone,
 		Version: &Version{Number: 1, InputSHA256: "aa", Files: []FileRef{{Name: "a.xsd", SHA256: "bb"}}}})
-	rec2, _ := encodeRecord(&walRecord{Seq: 2, Op: opDelete, Subject: "s", Number: 1})
+	rec2, _ := durable.EncodeFrame(&walRecord{Seq: 2, Op: opDelete, Subject: "s", Number: 1})
 	valid := append(append([]byte{}, rec1...), rec2...)
 	f.Add(valid)
 	// Truncated mid-record (torn tail).
@@ -34,12 +36,12 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, goodLen := scanWAL(data)
+		recs, goodLen := durable.Scan(data, decodeLine)
 		if goodLen < 0 || goodLen > len(data) {
 			t.Fatalf("goodLen %d out of range [0, %d]", goodLen, len(data))
 		}
 		for i, rec := range recs {
-			if rec.Seq <= 0 {
+			if rec.Seq <= 0 || rec.Rec.Seq != rec.Seq {
 				t.Fatalf("record %d has non-positive seq %d", i, rec.Seq)
 			}
 			if i > 0 && rec.Seq != recs[i-1].Seq+1 {
@@ -49,13 +51,13 @@ func FuzzWALDecode(f *testing.F) {
 		}
 		// The valid prefix is a fixed point: rescanning it reproduces
 		// exactly the same records.
-		again, againLen := scanWAL(data[:goodLen])
+		again, againLen := durable.Scan(data[:goodLen], decodeLine)
 		if againLen != goodLen || len(again) != len(recs) {
 			t.Fatalf("rescan of valid prefix: %d records/%d bytes, want %d/%d",
 				len(again), againLen, len(recs), goodLen)
 		}
 		for i := range recs {
-			if again[i].Seq != recs[i].Seq || again[i].Op != recs[i].Op || again[i].Subject != recs[i].Subject {
+			if again[i].Seq != recs[i].Seq || again[i].Rec.Op != recs[i].Rec.Op || again[i].Rec.Subject != recs[i].Rec.Subject {
 				t.Fatalf("rescan record %d differs: %+v vs %+v", i, again[i], recs[i])
 			}
 		}

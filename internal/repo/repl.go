@@ -27,7 +27,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
+
+	"github.com/go-ccts/ccts/internal/durable"
 )
 
 // Replication sentinels.
@@ -65,7 +66,7 @@ type Frame struct {
 // trailing newline). A frame that fails CRC or structural validation
 // answers ErrBadFrame.
 func DecodeFrame(line []byte) (*Frame, error) {
-	rec, ok := decodeLine(bytes.TrimSuffix(line, []byte("\n")))
+	rec, _, ok := decodeLine(bytes.TrimSuffix(line, []byte("\n")))
 	if !ok {
 		return nil, ErrBadFrame
 	}
@@ -96,7 +97,7 @@ func versionBlobs(v *Version) []string {
 func (r *Repo) WALSeq() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.walSeq
+	return r.wal.Seq()
 }
 
 // WALTail returns up to max committed frames with sequence numbers
@@ -115,8 +116,8 @@ func (r *Repo) WALTail(from int64, max int) (frames [][]byte, notify <-chan stru
 	if r.closed {
 		return nil, nil, ErrClosed
 	}
-	if from > r.walSeq || from+1 < r.tailStart {
-		return nil, nil, fmt.Errorf("%w: from %d, retained [%d, %d]", ErrSeqGap, from, r.tailStart, r.walSeq)
+	if seq := r.wal.Seq(); from > seq || from+1 < r.tailStart {
+		return nil, nil, fmt.Errorf("%w: from %d, retained [%d, %d]", ErrSeqGap, from, r.tailStart, seq)
 	}
 	lo := int(from + 1 - r.tailStart)
 	hi := len(r.tail)
@@ -146,7 +147,7 @@ func (r *Repo) SnapshotManifest() (data []byte, walSeq int64, err error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("repo: encoding snapshot manifest: %w", err)
 	}
-	return data, r.walSeq, nil
+	return data, man.WALSeq, nil
 }
 
 // SnapshotBlobs parses a snapshot manifest and returns the WAL
@@ -210,19 +211,13 @@ func (r *Repo) InstallSnapshot(data []byte) error {
 	if r.closed {
 		return ErrClosed
 	}
-	if err := atomicWrite(r.dir, manifestPath(r.dir), data, r.manifestWrap()); err != nil {
+	if err := durable.WriteFile(manifestPath(r.dir), data, r.fManifest); err != nil {
 		r.reportFault(err)
-		return err
+		return fmt.Errorf("repo: %w", err)
 	}
-	if err := r.wal.Truncate(0); err != nil {
+	if err := r.wal.Reset(man.WALSeq); err != nil {
 		return fmt.Errorf("repo: resetting WAL for snapshot: %w", err)
 	}
-	if _, err := r.wal.Seek(0, 0); err != nil {
-		return fmt.Errorf("repo: resetting WAL for snapshot: %w", err)
-	}
-	r.walSize = 0
-	r.walSeq = man.WALSeq
-	r.walBad = false // the log is empty again and usable
 	r.sinceCkp = 0
 	r.tail = nil
 	r.tailStart = man.WALSeq + 1
@@ -245,7 +240,7 @@ func (r *Repo) InstallSnapshot(data []byte) error {
 // exactly the frames it acknowledged.
 func (r *Repo) ApplyFrame(line []byte) (seq int64, err error) {
 	line = bytes.TrimSuffix(line, []byte("\n"))
-	rec, ok := decodeLine(line)
+	rec, _, ok := decodeLine(line)
 	if !ok {
 		return 0, ErrBadFrame
 	}
@@ -262,14 +257,15 @@ func (r *Repo) ApplyFrame(line []byte) (seq int64, err error) {
 	if r.closed {
 		return 0, ErrClosed
 	}
-	if r.walBad {
+	if r.wal.Broken() {
 		return 0, ErrWAL
 	}
-	if rec.Seq <= r.walSeq {
-		return r.walSeq, nil // re-delivered frame: already applied
+	have := r.wal.Seq()
+	if rec.Seq <= have {
+		return have, nil // re-delivered frame: already applied
 	}
-	if rec.Seq != r.walSeq+1 {
-		return 0, fmt.Errorf("%w: have %d, frame %d", ErrSeqGap, r.walSeq, rec.Seq)
+	if rec.Seq != have+1 {
+		return 0, fmt.Errorf("%w: have %d, frame %d", ErrSeqGap, have, rec.Seq)
 	}
 	next := r.stateP.Load().clone(rec.Subject)
 	if aerr := next.apply(rec); aerr != nil {
@@ -278,7 +274,7 @@ func (r *Repo) ApplyFrame(line []byte) (seq int64, err error) {
 	framed := make([]byte, 0, len(line)+1)
 	framed = append(framed, line...)
 	framed = append(framed, '\n')
-	if err := r.commitLocked(rec.Seq, framed, next); err != nil {
+	if err := r.commitLocked(framed, next); err != nil {
 		return 0, err
 	}
 	return rec.Seq, nil
@@ -293,10 +289,4 @@ func (r *Repo) PutBlob(data []byte) (string, error) {
 }
 
 // HasBlob reports whether a content address is resident locally.
-func (r *Repo) HasBlob(sha string) bool {
-	if len(sha) != 64 {
-		return false
-	}
-	_, err := os.Stat(blobPath(r.dir, sha))
-	return err == nil
-}
+func (r *Repo) HasBlob(sha string) bool { return r.blobs.Has(sha) }

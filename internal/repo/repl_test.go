@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/go-ccts/ccts/internal/durable"
 	"github.com/go-ccts/ccts/internal/fixture"
 )
 
@@ -154,7 +155,7 @@ func TestWALTailStreamsCommits(t *testing.T) {
 	}
 	// Frames are the WAL bytes: concatenating them must rescan cleanly
 	// with contiguous sequence numbers.
-	recs, goodLen := scanWAL(bytes.Join(frames, nil))
+	recs, goodLen := durable.Scan(bytes.Join(frames, nil), decodeLine)
 	if len(recs) != 2 || goodLen != len(bytes.Join(frames, nil)) {
 		t.Fatalf("frame concatenation did not rescan: %d recs, goodLen %d", len(recs), goodLen)
 	}
@@ -351,15 +352,15 @@ func TestApplyFrameValidation(t *testing.T) {
 	// A frame that decodes but conflicts with local state is divergence
 	// and must not reach the WAL.
 	sizeBefore := follower.WALSeq()
-	rec, ok := decodeLine(bytes.TrimSuffix(frames[1], []byte("\n")))
+	rec, _, ok := decodeLine(bytes.TrimSuffix(frames[1], []byte("\n")))
 	if !ok {
 		t.Fatal("decodeLine on valid frame failed")
 	}
 	rec.Seq = follower.WALSeq() + 1
 	rec.Version.Number = 1 // conflicts with the version already applied
-	diverged, err := encodeRecord(rec)
+	diverged, err := durable.EncodeFrame(rec)
 	if err != nil {
-		t.Fatalf("encodeRecord: %v", err)
+		t.Fatalf("EncodeFrame: %v", err)
 	}
 	if _, err := follower.ApplyFrame(diverged); !errors.Is(err, ErrDiverged) {
 		t.Fatalf("conflicting frame: %v, want ErrDiverged", err)

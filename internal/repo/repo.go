@@ -32,7 +32,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -41,6 +41,7 @@ import (
 	"github.com/go-ccts/ccts/internal/contentaddr"
 	"github.com/go-ccts/ccts/internal/core"
 	"github.com/go-ccts/ccts/internal/diff"
+	"github.com/go-ccts/ccts/internal/durable"
 	"github.com/go-ccts/ccts/internal/health"
 	"github.com/go-ccts/ccts/internal/limits"
 	"github.com/go-ccts/ccts/internal/metrics"
@@ -288,26 +289,23 @@ type Repo struct {
 	checkpointEvery int
 	health          *health.Tracker
 
-	// Per-instance fault seams (Config.Fault*); the package-level
-	// wrap*Writer vars remain as the in-package test hooks.
-	fWAL, fManifest, fBlob func(io.Writer) io.Writer
+	// fManifest is the manifest fault seam (Config.FaultManifest); the
+	// WAL and blob seams live on wal and blobs.
+	fManifest func(io.Writer) io.Writer
 
 	// stateP is the lock-free read snapshot.
 	stateP atomic.Pointer[state]
 
-	// mu guards the WAL file, sequence numbers, checkpoint counter,
-	// the replication tail, the subject-lock table and the closed flag.
+	// mu guards the WAL, the checkpoint counter, the replication tail,
+	// the subject-lock table and the closed flag.
 	mu       sync.Mutex
-	wal      *os.File
-	walSeq   int64
-	walSize  int64
-	walBad   bool
+	wal      *durable.Log
 	sinceCkp int
 	closed   bool
 	subLocks map[string]*sync.Mutex
 
 	// Replication state: tail holds the encoded frames for sequence
-	// numbers [tailStart, walSeq], capped at replTail and retained
+	// numbers [tailStart, wal.Seq()], capped at replTail and retained
 	// across checkpoints; commitCh is closed (and renewed) on every
 	// commit so replication streams can long-poll for new frames.
 	replTail  int
@@ -319,6 +317,7 @@ type Repo struct {
 	// (writer) gets exclusivity over the blob store.
 	gcMu sync.RWMutex
 
+	blobs *durable.Blobs
 	// blobMu serializes blob-store writes and the counters below.
 	blobMu    sync.Mutex
 	blobCount int64
@@ -338,10 +337,12 @@ type Repo struct {
 // prefix is replayed on top of it (a torn or corrupt tail is truncated
 // away), and the blob store is inventoried.
 func Open(dir string, cfg Config) (*Repo, error) {
-	if err := os.MkdirAll(filepath.Join(dir, blobDirName), 0o755); err != nil {
-		return nil, fmt.Errorf("repo: creating %s: %w", dir, err)
+	blobs, err := durable.OpenBlobs(dir)
+	if err != nil {
+		return nil, fmt.Errorf("repo: %w", err)
 	}
-	if err := removeTempFiles(dir); err != nil {
+	blobs.Wrap = cfg.FaultBlob
+	if err := durable.SweepTemp(dir); err != nil {
 		return nil, fmt.Errorf("repo: cleaning temp files: %w", err)
 	}
 
@@ -351,9 +352,8 @@ func Open(dir string, cfg Config) (*Repo, error) {
 		lim:             cfg.Limits,
 		checkpointEvery: cfg.CheckpointEvery,
 		health:          cfg.Health,
-		fWAL:            cfg.FaultWAL,
 		fManifest:       cfg.FaultManifest,
-		fBlob:           cfg.FaultBlob,
+		blobs:           blobs,
 		subLocks:        map[string]*sync.Mutex{},
 	}
 	if r.defaultPolicy == "" {
@@ -384,73 +384,36 @@ func Open(dir string, cfg Config) (*Repo, error) {
 		copy(versions, ms.Versions)
 		st.subjects[ms.Name] = &subjectState{name: ms.Name, policy: ms.Policy, versions: versions}
 	}
-	r.walSeq = man.WALSeq
-	r.tailStart = man.WALSeq + 1
 
-	walPath := filepath.Join(dir, walName)
-	wal, err := os.OpenFile(walPath, os.O_RDWR|os.O_CREATE, 0o644)
+	wal, replay, err := durable.OpenLog(filepath.Join(dir, walName), man.WALSeq, decodeLine)
 	if err != nil {
-		return nil, fmt.Errorf("repo: opening WAL: %w", err)
+		return nil, fmt.Errorf("repo: %w", err)
 	}
-	data, err := os.ReadFile(walPath)
-	if err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("repo: reading WAL: %w", err)
-	}
-	recs, goodLen := scanWAL(data)
-	for _, rec := range recs {
-		if rec.Seq <= man.WALSeq {
-			// Already absorbed by the manifest (crash between a
-			// checkpoint and the WAL compaction that follows it).
-			continue
-		}
-		if rec.Seq != r.walSeq+1 {
-			// A gap against the manifest's checkpoint: records were
-			// lost; serve the checkpoint rather than a state with holes.
-			goodLen = 0
-			break
-		}
-		if err := st.apply(rec); err != nil {
+	wal.Wrap = cfg.FaultWAL
+	r.tailStart = man.WALSeq + 1
+	for _, e := range replay {
+		if err := st.apply(e.Rec); err != nil {
 			wal.Close()
 			return nil, err
 		}
-		r.walSeq = rec.Seq
-		// Rebuild the replication tail from the replayed records.
-		// encodeRecord is deterministic, so the re-encoded frame is
-		// byte-identical to the one originally appended.
-		if line, err := encodeRecord(rec); err == nil {
-			r.tail = append(r.tail, line)
-			if len(r.tail) > r.replTail {
-				r.tail = r.tail[1:]
-				r.tailStart++
-			}
+		// Rebuild the replication tail from the frames as stored.
+		r.tail = append(r.tail, e.Line)
+		if len(r.tail) > r.replTail {
+			r.tail = r.tail[1:]
+			r.tailStart++
 		}
-	}
-	if goodLen < len(data) {
-		// Torn or corrupt tail (crash mid-append): drop it so future
-		// appends start on a record boundary.
-		if err := wal.Truncate(int64(goodLen)); err != nil {
-			wal.Close()
-			return nil, fmt.Errorf("repo: truncating torn WAL tail: %w", err)
-		}
-	}
-	if _, err := wal.Seek(0, io.SeekEnd); err != nil {
-		wal.Close()
-		return nil, fmt.Errorf("repo: seeking WAL: %w", err)
 	}
 	r.wal = wal
-	if goodLen < len(data) {
-		r.walSize = int64(goodLen)
-	} else {
-		r.walSize = int64(len(data))
-	}
 
-	count, bytes, err := scanBlobs(dir)
+	err = blobs.Walk(func(_ string, size int64) error {
+		r.blobCount++
+		r.blobBytes += size
+		return nil
+	})
 	if err != nil {
 		wal.Close()
-		return nil, fmt.Errorf("repo: scanning blob store: %w", err)
+		return nil, fmt.Errorf("repo: %w", err)
 	}
-	r.blobCount, r.blobBytes = count, bytes
 
 	r.stateP.Store(st)
 	return r, nil
@@ -770,13 +733,13 @@ func (r *Repo) commit(rec *walRecord) error {
 	if r.closed {
 		return ErrClosed
 	}
-	if r.walBad {
+	if r.wal.Broken() {
 		return ErrWAL
 	}
-	rec.Seq = r.walSeq + 1
-	line, err := encodeRecord(rec)
+	rec.Seq = r.wal.Seq() + 1
+	line, err := durable.EncodeFrame(rec)
 	if err != nil {
-		return err
+		return fmt.Errorf("repo: %w", err)
 	}
 	next := r.stateP.Load().clone(rec.Subject)
 	if err := next.apply(rec); err != nil {
@@ -785,42 +748,21 @@ func (r *Repo) commit(rec *walRecord) error {
 		// ApplyFrame, which treats the same failure as divergence).
 		panic(err)
 	}
-	return r.commitLocked(rec.Seq, line, next)
+	return r.commitLocked(line, next)
 }
 
 // commitLocked makes one already-validated frame durable and visible:
-// the line is appended to the WAL and fsync'd (rolled back by truncation
-// on failure; an unrollbackable log is marked unusable until reopen),
-// then the prepared state snapshot is published, the replication tail
-// advances and long-pollers are woken. Shared by local commits and
-// replicated ApplyFrame so both paths have identical durability.
-// r.mu held; seq must be r.walSeq+1 and next must already reflect the
-// frame.
-func (r *Repo) commitLocked(seq int64, line []byte, next *state) error {
-	var w io.Writer = r.wal
-	if wrap := r.walWrap(); wrap != nil {
-		w = wrap(r.wal)
+// the line is appended to the WAL and fsync'd (rolled back on failure;
+// an unrollbackable log is marked unusable until reopen), then the
+// prepared state snapshot is published, the replication tail advances
+// and long-pollers are woken. Shared by local commits and replicated
+// ApplyFrame so both paths have identical durability. r.mu held; the
+// frame must carry r.wal.Seq()+1 and next must already reflect it.
+func (r *Repo) commitLocked(line []byte, next *state) error {
+	if err := r.wal.Append(line); err != nil {
+		r.reportFault(err)
+		return fmt.Errorf("repo: %w", err)
 	}
-	if _, werr := w.Write(line); werr != nil {
-		if terr := r.wal.Truncate(r.walSize); terr != nil {
-			r.walBad = true
-		} else {
-			r.wal.Seek(r.walSize, 0)
-		}
-		r.reportFault(werr)
-		return fmt.Errorf("repo: appending WAL record: %w", werr)
-	}
-	if serr := r.wal.Sync(); serr != nil {
-		if terr := r.wal.Truncate(r.walSize); terr != nil {
-			r.walBad = true
-		} else {
-			r.wal.Seek(r.walSize, 0)
-		}
-		r.reportFault(serr)
-		return fmt.Errorf("repo: syncing WAL: %w", serr)
-	}
-	r.walSeq = seq
-	r.walSize += int64(len(line))
 	r.stateP.Store(next)
 	r.appendTailLocked(line)
 
@@ -855,29 +797,6 @@ func (r *Repo) appendTailLocked(line []byte) {
 	}
 }
 
-// walWrap resolves the WAL fault seam: the per-instance Config seam
-// wins, then the package-level test hook.
-func (r *Repo) walWrap() func(io.Writer) io.Writer {
-	if r.fWAL != nil {
-		return r.fWAL
-	}
-	return wrapWALWriter
-}
-
-func (r *Repo) manifestWrap() func(io.Writer) io.Writer {
-	if r.fManifest != nil {
-		return r.fManifest
-	}
-	return wrapManifestWriter
-}
-
-func (r *Repo) blobWrap() func(io.Writer) io.Writer {
-	if r.fBlob != nil {
-		return r.fBlob
-	}
-	return wrapBlobWriter
-}
-
 // Checkpoint compacts the log: the current state is written as the
 // manifest (atomic, fsync'd) and the WAL is emptied. Also called
 // automatically every CheckpointEvery records and on Close.
@@ -895,10 +814,10 @@ func (r *Repo) Checkpoint() error {
 }
 
 // buildManifestLocked snapshots the current state in manifest form,
-// covering WAL records through r.walSeq; r.mu held.
+// covering WAL records through r.wal.Seq(); r.mu held.
 func (r *Repo) buildManifestLocked() manifest {
 	st := r.stateP.Load()
-	man := manifest{Format: manifestFormat, WALSeq: r.walSeq}
+	man := manifest{Format: manifestFormat, WALSeq: r.wal.Seq()}
 	names := make([]string, 0, len(st.subjects))
 	for name := range st.subjects {
 		names = append(names, name)
@@ -920,20 +839,16 @@ func (r *Repo) checkpointLocked() error {
 	if err != nil {
 		return fmt.Errorf("repo: encoding manifest: %w", err)
 	}
-	if err := atomicWrite(r.dir, filepath.Join(r.dir, manifestName), data, r.manifestWrap()); err != nil {
+	if err := durable.WriteFile(manifestPath(r.dir), data, r.fManifest); err != nil {
 		r.reportFault(err)
-		return err
+		return fmt.Errorf("repo: %w", err)
 	}
 	// The manifest now covers every WAL record; empty the log. A crash
-	// before the truncate is safe: recovery skips records with
+	// before the reset is safe: recovery skips records with
 	// Seq <= manifest.WALSeq.
-	if err := r.wal.Truncate(0); err != nil {
+	if err := r.wal.Reset(man.WALSeq); err != nil {
 		return fmt.Errorf("repo: compacting WAL: %w", err)
 	}
-	if _, err := r.wal.Seek(0, 0); err != nil {
-		return fmt.Errorf("repo: compacting WAL: %w", err)
-	}
-	r.walSize = 0
 	return nil
 }
 
@@ -941,42 +856,29 @@ func (r *Repo) checkpointLocked() error {
 // returns the address. New blobs are fsync'd before the store's
 // counters advance.
 func (r *Repo) writeBlob(data []byte) (string, error) {
-	sha := contentaddr.BlobSum(data)
-	path := blobPath(r.dir, sha)
 	r.blobMu.Lock()
 	defer r.blobMu.Unlock()
-	if _, err := os.Stat(path); err == nil {
-		return sha, nil // dedup: shared with an earlier version
-	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	sha, created, err := r.blobs.Put(data)
+	if err != nil {
 		r.reportFault(err)
-		return "", fmt.Errorf("repo: creating blob directory: %w", err)
+		return "", fmt.Errorf("repo: %w", err)
 	}
-	if err := atomicWrite(dir, path, data, r.blobWrap()); err != nil {
-		r.reportFault(err)
-		return "", err
+	if created {
+		r.blobCount++
+		r.blobBytes += int64(len(data))
 	}
-	r.blobCount++
-	r.blobBytes += int64(len(data))
 	return sha, nil
 }
 
 // Blob returns the bytes stored under a content address, verifying them
 // against it (a mismatch means on-disk corruption).
 func (r *Repo) Blob(sha string) ([]byte, error) {
-	if len(sha) != 64 {
-		return nil, fmt.Errorf("%w: blob %q", ErrNotFound, sha)
-	}
-	data, err := os.ReadFile(blobPath(r.dir, sha))
-	if os.IsNotExist(err) {
+	data, err := r.blobs.Get(sha)
+	if errors.Is(err, fs.ErrNotExist) {
 		return nil, fmt.Errorf("%w: blob %s", ErrNotFound, sha)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("repo: reading blob %s: %w", sha, err)
-	}
-	if contentaddr.BlobSum(data) != sha {
-		return nil, fmt.Errorf("repo: blob %s corrupt on disk", sha)
+		return nil, fmt.Errorf("repo: %w", err)
 	}
 	return data, nil
 }
@@ -1156,40 +1058,25 @@ func (r *Repo) GC() (GCResult, error) {
 	}
 
 	var res GCResult
-	root := filepath.Join(r.dir, blobDirName)
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		return res, fmt.Errorf("repo: scanning blob store: %w", err)
-	}
 	r.blobMu.Lock()
 	defer r.blobMu.Unlock()
-	for _, fan := range entries {
-		if !fan.IsDir() {
-			continue
+	err := r.blobs.Walk(func(sha string, size int64) error {
+		if live[sha] {
+			return nil
 		}
-		fanDir := filepath.Join(root, fan.Name())
-		blobs, err := os.ReadDir(fanDir)
-		if err != nil {
-			return res, fmt.Errorf("repo: scanning blob store: %w", err)
+		if err := r.blobs.Remove(sha); err != nil {
+			return err
 		}
-		for _, b := range blobs {
-			if live[b.Name()] {
-				continue
-			}
-			info, err := b.Info()
-			if err != nil {
-				continue
-			}
-			if err := os.Remove(filepath.Join(fanDir, b.Name())); err != nil {
-				return res, fmt.Errorf("repo: removing blob %s: %w", b.Name(), err)
-			}
-			res.Blobs++
-			res.Bytes += info.Size()
-			r.blobCount--
-			r.blobBytes -= info.Size()
-		}
-	}
+		res.Blobs++
+		res.Bytes += size
+		r.blobCount--
+		r.blobBytes -= size
+		return nil
+	})
 	r.syncMetricsAfterGC()
+	if err != nil {
+		return res, fmt.Errorf("repo: %w", err)
+	}
 	return res, nil
 }
 

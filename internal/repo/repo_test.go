@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/go-ccts/ccts/internal/contentaddr"
+	"github.com/go-ccts/ccts/internal/durable"
 	"github.com/go-ccts/ccts/internal/fixture"
 	"github.com/go-ccts/ccts/internal/gen"
 	"github.com/go-ccts/ccts/internal/metrics"
@@ -520,7 +521,19 @@ func TestGC(t *testing.T) {
 
 	// Counters track the sweep.
 	st := r.Stats()
-	count, bytes_, err := scanBlobs(r.dir)
+	var count, bytes_ int64
+	err = filepath.WalkDir(filepath.Join(r.dir, durable.BlobDir), func(_ string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		info, err := d.Info()
+		if err != nil {
+			return err
+		}
+		count++
+		bytes_ += info.Size()
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,7 +705,7 @@ func TestBlobVerifiesDigest(t *testing.T) {
 	v := mustPublish(t, r, buildRequest(t, fixture.MustBuildHoardingPermit()))
 
 	// Flip a byte on disk: the read must detect the corruption.
-	path := blobPath(r.dir, v.InputSHA256)
+	path := filepath.Join(r.dir, durable.BlobDir, v.InputSHA256[:2], v.InputSHA256)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)

@@ -91,10 +91,12 @@ func startHealNode(t *testing.T, id, addr, dir, mapPath string, o healOpts) *hea
 			PollWindow:    200 * time.Millisecond,
 			ProbeInterval: 100 * time.Millisecond,
 		})
-		fol.Start()
 		cfg.Follower = fol
 	}
 	srv := New(cfg)
+	if fol != nil {
+		fol.Start() // after New has instrumented it, as ccserved does
+	}
 	ln := shardListen(t, addr)
 	n := &healNode{
 		shardNode: &shardNode{

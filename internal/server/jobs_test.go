@@ -9,6 +9,8 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"strconv"
@@ -17,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/go-ccts/ccts/internal/durable"
 	"github.com/go-ccts/ccts/internal/jobs"
 )
 
@@ -147,6 +150,45 @@ func TestJobsSingleModelByteIdenticalToSync(t *testing.T) {
 	}
 	if !bytes.Equal(res.Body.Bytes(), sync.Body.Bytes()) {
 		t.Fatal("async result archive differs from synchronous /v1/generate response")
+	}
+}
+
+// TestJobsCorruptResultBlobRefused flips one byte of a finished item's
+// result archive on disk: the result fetch must answer an error, not
+// the corrupt bytes, because blob reads verify the content address.
+func TestJobsCorruptResultBlobRefused(t *testing.T) {
+	dir := t.TempDir()
+	s, mgr := newJobServer(t, dir, Config{}, jobs.Config{Workers: 1})
+	defer mgr.Close(context.Background())
+	h := s.Handler()
+
+	doc, rec := postJob(t, h, sampleXMI(t), docQuery)
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("submit = %d, body %s", rec.Code, rec.Body.String())
+	}
+	waitJobState(t, h, doc.ID, jobs.Completed)
+	snap, err := mgr.Get(doc.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sha := snap.Items[0].ResultSHA
+	path := filepath.Join(dir, durable.BlobDir, sha[:2], sha)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, target := range []string{"/result?item=1", "/result"} {
+		req := httptest.NewRequest(http.MethodGet, "/v1/jobs/"+doc.ID+target, nil)
+		res := httptest.NewRecorder()
+		h.ServeHTTP(res, req)
+		if res.Code == http.StatusOK || bytes.Equal(res.Body.Bytes(), data) {
+			t.Fatalf("GET %s on a corrupt blob = %d; want an error, not the corrupt archive", target, res.Code)
+		}
 	}
 }
 
